@@ -3,6 +3,8 @@ package candidates
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -145,6 +147,52 @@ func TestOpenIndexTruncated(t *testing.T) {
 		if _, err := decodeIndex(orig[:n]); !errors.Is(err, ErrBadIndex) {
 			t.Fatalf("truncation to %d bytes: error %v does not wrap ErrBadIndex", n, err)
 		}
+	}
+}
+
+// tinyIndexSHA256 is the digest of WriteIndex(tinyIndex()) as format
+// version 1 defines it. Any change to these bytes is a format change:
+// it needs a version bump (which also invalidates every fingerprint),
+// not a new digest.
+const tinyIndexSHA256 = "ab3ea1d9a401402b09895fffdd03553dff16af85400fb2d321d8a74c651fd78c"
+
+func TestIndexFormatStable(t *testing.T) {
+	sum := sha256.Sum256(encodeIndex(t, tinyIndex()))
+	if got := hex.EncodeToString(sum[:]); got != tinyIndexSHA256 {
+		t.Fatalf("index encoding drifted: sha256 %s, want %s", got, tinyIndexSHA256)
+	}
+}
+
+// FuzzDecodeIndex: no input may panic the decoder; a rejection wraps
+// ErrBadIndex; an accepted input re-encodes to a file that decodes and
+// re-encodes to itself. Each input is also decoded with its checksums
+// restamped, so mutations reach the structural checks.
+func FuzzDecodeIndex(f *testing.F) {
+	f.Add(encodeIndex(f, tinyIndex()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkIndexDecode(t, data)
+		restamped := append([]byte(nil), data...)
+		idxFormat.Restamp(restamped)
+		checkIndexDecode(t, restamped)
+	})
+}
+
+func checkIndexDecode(t *testing.T, data []byte) {
+	t.Helper()
+	ix, err := decodeIndex(data)
+	if err != nil {
+		if !errors.Is(err, ErrBadIndex) {
+			t.Fatalf("error %v does not wrap ErrBadIndex", err)
+		}
+		return
+	}
+	enc1 := encodeIndex(t, ix)
+	ix2, err := decodeIndex(enc1)
+	if err != nil {
+		t.Fatalf("re-encoded index does not decode: %v", err)
+	}
+	if !bytes.Equal(enc1, encodeIndex(t, ix2)) {
+		t.Fatal("re-encode is not a fixpoint")
 	}
 }
 

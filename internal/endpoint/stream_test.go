@@ -3,6 +3,7 @@ package endpoint
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -309,6 +310,13 @@ func TestCoalescingStreamBroadcast(t *testing.T) {
 		}(i)
 	}
 	started.Wait()
+	// Starting is not joining: a goroutine scheduled after the leader's
+	// flight ends would open a second inner stream. Joiners count
+	// themselves at join time while the leader is blocked on the gate,
+	// so wait for all of them before releasing it.
+	for co.Coalesced() < waiters-1 {
+		runtime.Gosched()
+	}
 	close(gate) // release the single gated inner drain
 	wg.Wait()
 

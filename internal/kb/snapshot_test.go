@@ -2,6 +2,8 @@ package kb
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"sofya/internal/rdf"
+	"sofya/internal/secfile"
 )
 
 // gnarlyKB builds a KB exercising every term flavor the model has:
@@ -381,12 +384,12 @@ func TestSnapshotTableOffsetOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	tableLen := uint64(numSections) * tableEntSize
+	tableLen := uint64(numSections) * secfile.TableEntSize
 
 	// Large bogus offsets in an otherwise valid file.
 	for _, off := range []uint64{1 << 63, ^uint64(0)} {
 		crafted := append([]byte(nil), data...)
-		foot := crafted[len(crafted)-footerSize:]
+		foot := crafted[len(crafted)-secfile.FooterSize:]
 		for i := 0; i < 8; i++ {
 			foot[i] = byte(off >> (8 * i))
 		}
@@ -398,7 +401,7 @@ func TestSnapshotTableOffsetOverflow(t *testing.T) {
 	// The wrap attack proper: a file shorter than prelude+table+footer
 	// whose tableOff underflows so that tableOff+tableLen wraps back to
 	// the expected position — data[tableOff:] would panic unchecked.
-	short := make([]byte, preludeSize+footerSize)
+	short := make([]byte, secfile.PreludeSize+secfile.FooterSize)
 	copy(short, snapMagic)
 	putU32 := func(b []byte, v uint32) {
 		for i := 0; i < 4; i++ {
@@ -407,8 +410,8 @@ func TestSnapshotTableOffsetOverflow(t *testing.T) {
 	}
 	putU32(short[8:], snapVersion)
 	putU32(short[12:], numSections)
-	foot := short[len(short)-footerSize:]
-	wrap := uint64(preludeSize) - tableLen // underflows to ~2^64
+	foot := short[len(short)-secfile.FooterSize:]
+	wrap := uint64(secfile.PreludeSize) - tableLen // underflows to ~2^64
 	for i := 0; i < 8; i++ {
 		foot[i] = byte(wrap >> (8 * i))
 	}
@@ -417,6 +420,68 @@ func TestSnapshotTableOffsetOverflow(t *testing.T) {
 	copy(foot[24:], snapMagic)
 	if _, err := ReadSnapshot(bytes.NewReader(short)); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("wrapping tableOff in short file: err = %v, want ErrBadSnapshot", err)
+	}
+}
+
+// gnarlySnapshotSHA256 is the digest of WriteSnapshot(gnarlyKB()) as
+// format version 1 defines it. Snapshots outlive the binary that wrote
+// them, so any change to these bytes is a format change: it needs a
+// version bump, not a new digest.
+const gnarlySnapshotSHA256 = "e9bb1256d197a98b7cbc1f7e8646f3ceabcbec5fc9bb0c61306126b41553ccfb"
+
+func TestSnapshotFormatStable(t *testing.T) {
+	var buf bytes.Buffer
+	if err := gnarlyKB().WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != gnarlySnapshotSHA256 {
+		t.Fatalf("snapshot encoding drifted: sha256 %s, want %s", got, gnarlySnapshotSHA256)
+	}
+}
+
+// FuzzReadSnapshot: no input may panic the decoder; a rejection wraps
+// ErrBadSnapshot; an accepted input re-encodes to a file that decodes
+// and re-encodes to itself. Each input is also decoded with its
+// checksums restamped, so mutations reach the structural checks.
+func FuzzReadSnapshot(f *testing.F) {
+	for _, k := range []*KB{gnarlyKB(), randomKB(2, 40), New("empty")} {
+		var buf bytes.Buffer
+		if err := k.WriteSnapshot(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkSnapshotDecode(t, data)
+		restamped := append([]byte(nil), data...)
+		snapFormat.Restamp(restamped)
+		checkSnapshotDecode(t, restamped)
+	})
+}
+
+func checkSnapshotDecode(t *testing.T, data []byte) {
+	t.Helper()
+	k, err := ReadSnapshot(bytes.NewReader(data))
+	if err != nil {
+		if !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("error not wrapped in ErrBadSnapshot: %v", err)
+		}
+		return
+	}
+	var enc1, enc2 bytes.Buffer
+	if err := k.WriteSnapshot(&enc1); err != nil {
+		t.Fatalf("re-encode: %v", err)
+	}
+	k2, err := ReadSnapshot(bytes.NewReader(enc1.Bytes()))
+	if err != nil {
+		t.Fatalf("re-encoded snapshot does not decode: %v", err)
+	}
+	if err := k2.WriteSnapshot(&enc2); err != nil {
+		t.Fatalf("second re-encode: %v", err)
+	}
+	if !bytes.Equal(enc1.Bytes(), enc2.Bytes()) {
+		t.Fatal("re-encode is not a fixpoint")
 	}
 }
 
